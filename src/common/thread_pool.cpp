@@ -9,7 +9,7 @@
 namespace weipipe {
 
 namespace {
-// Set while a pool worker executes a chunk. A nested parallel_for from inside
+// Set while a pool worker executes a chunk. A nested dispatch from inside
 // a chunk runs serially: claiming sub-chunks while every worker may be
 // blocked waiting on its own sub-dispatch is a classic self-deadlock.
 thread_local bool g_inside_pool_task = false;
@@ -45,11 +45,11 @@ void set_kernel_observer(KernelObserver observer) {
 }
 
 // One per parallel_for_range call, on the dispatching thread's stack. The
-// arena slot holds a pointer to it for the duration of the dispatch; workers
+// arena slot holds a pointer to it while the dispatch is published; workers
 // may only dereference that pointer under the pool mutex (scan + join) or
-// after registering themselves in `joined` (execution), and the caller does
-// not return until `joined` drops back to zero — so the frame outlives every
-// access.
+// after registering themselves in `joined` (execution). The caller clears
+// the slot under the pool mutex and only then waits for `joined` to drop
+// back to zero, so the frame outlives every access.
 struct ThreadPool::Dispatch {
   RangeFn fn;
   void* ctx;
@@ -204,36 +204,25 @@ void ThreadPool::parallel_for_range(std::size_t begin, std::size_t end,
 
   run_dispatch(d, /*is_worker=*/false);  // the caller participates
 
-  std::exception_ptr error;
-  {
-    // Workers register in `joined` before their first claim while the pool
-    // mutex pins the slot, and no claim can succeed once next >= end — so
-    // when joined reaches 0 here, no worker will touch `d` again outside the
-    // pool mutex.
-    std::unique_lock<std::mutex> dlk(d.mu);
-    d.cv.wait(dlk, [&] { return d.joined == 0; });
-    error = d.error;
-  }
+  // Unpublish first, then wait. A worker registers in `joined` while it
+  // holds the pool mutex and sees the slot, so once the slot is cleared
+  // under that mutex no new worker can register, and every worker that did
+  // is counted. Waiting first would leave a gap: a worker that saw
+  // next < end just before the last claim could register after joined hit
+  // zero and then run on this frame after it is gone.
   {
     std::lock_guard<std::mutex> lk(mu_);
     slots_[slot] = nullptr;
   }
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> dlk(d.mu);
+    d.cv.wait(dlk, [&] { return d.joined == 0; });
+    error = d.error;
+  }
   if (error) {
     std::rethrow_exception(error);
   }
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn,
-                              std::size_t grain) {
-  for_range(
-      begin, end,
-      [&fn](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          fn(i);
-        }
-      },
-      grain);
 }
 
 ThreadPoolStats ThreadPool::stats() const {
@@ -249,21 +238,6 @@ ThreadPoolStats ThreadPool::stats() const {
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
   return pool;
-}
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain) {
-  if (begin >= end) {
-    return;
-  }
-  if (end - begin <= grain) {
-    for (std::size_t i = begin; i < end; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  ThreadPool::global().parallel_for(begin, end, fn, grain);
 }
 
 }  // namespace weipipe

@@ -18,7 +18,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -75,12 +74,6 @@ class ThreadPool {
         const_cast<void*>(static_cast<const void*>(std::addressof(f))), grain);
   }
 
-  // Per-index form kept for existing call sites; `grain` is the minimum
-  // number of indices per claimed chunk.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& fn,
-                    std::size_t grain = 1);
-
   ThreadPoolStats stats() const;
 
   // Process-wide pool sized to the hardware; lazily constructed.
@@ -112,15 +105,10 @@ class ThreadPool {
   std::atomic<std::uint64_t> stat_steals_{0};
 };
 
-// Convenience: global-pool parallel loop. Falls back to serial execution when
-// the whole range fits inside one grain-sized chunk.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain = 1);
-
-// Range-chunk variant on the global pool: f(lo, hi) sees contiguous blocks,
-// so per-chunk setup (scratch buffers, partial reductions) amortizes and the
-// inner loop stays vectorizable. Preferred for new kernels.
+// The parallel loop on the global pool: f(lo, hi) sees contiguous blocks of
+// at least `grain` indices, so per-chunk setup (scratch buffers, partial
+// reductions) amortizes and the inner loop stays vectorizable. Runs serially
+// when the whole range fits inside one grain-sized chunk.
 template <typename F>
 void parallel_for_range(std::size_t begin, std::size_t end, std::size_t grain,
                         F&& f) {

@@ -81,72 +81,4 @@ TrainerState load_checkpoint(const std::string& path) {
   return state;
 }
 
-TrainerState export_sharded_state(
-    const Model& model, const std::vector<ChunkSpec>& chunks,
-    const std::vector<std::vector<float>>& master,
-    const std::vector<AdamShard>& adam) {
-  WEIPIPE_CHECK(master.size() == chunks.size());
-  WEIPIPE_CHECK(adam.size() == chunks.size());
-  TrainerState state;
-  state.block_params.resize(static_cast<std::size_t>(model.num_blocks()));
-  state.adam_m.resize(state.block_params.size());
-  state.adam_v.resize(state.block_params.size());
-  state.step_count = adam.empty() ? 0 : adam.front().step_count();
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    const ChunkSpec& spec = chunks[c];
-    const auto m = adam[c].first_moment();
-    const auto v = adam[c].second_moment();
-    for (std::int64_t b = spec.begin; b < spec.end; ++b) {
-      const std::int64_t off = model.block_offset_in_chunk(spec, b);
-      const std::int64_t n = model.block_param_count(b);
-      const auto bi = static_cast<std::size_t>(b);
-      state.block_params[bi].assign(master[c].begin() + off,
-                                    master[c].begin() + off + n);
-      state.adam_m[bi].assign(m.begin() + off, m.begin() + off + n);
-      state.adam_v[bi].assign(v.begin() + off, v.begin() + off + n);
-    }
-  }
-  return state;
-}
-
-void import_sharded_state(const Model& model,
-                          const std::vector<ChunkSpec>& chunks,
-                          const TrainerState& state,
-                          std::vector<std::vector<float>>& master,
-                          std::vector<AdamShard>& adam) {
-  WEIPIPE_CHECK_MSG(
-      static_cast<std::int64_t>(state.block_params.size()) ==
-          model.num_blocks(),
-      "checkpoint has " << state.block_params.size() << " blocks, model has "
-                        << model.num_blocks());
-  for (std::int64_t b = 0; b < model.num_blocks(); ++b) {
-    WEIPIPE_CHECK_MSG(
-        static_cast<std::int64_t>(
-            state.block_params[static_cast<std::size_t>(b)].size()) ==
-            model.block_param_count(b),
-        "checkpoint block " << b << " size mismatch (different ModelConfig?)");
-  }
-  master.assign(chunks.size(), {});
-  adam.assign(chunks.size(), AdamShard());
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    const ChunkSpec& spec = chunks[c];
-    std::vector<float> w(static_cast<std::size_t>(spec.param_count));
-    std::vector<float> m(w.size());
-    std::vector<float> v(w.size());
-    for (std::int64_t b = spec.begin; b < spec.end; ++b) {
-      const std::int64_t off = model.block_offset_in_chunk(spec, b);
-      const auto bi = static_cast<std::size_t>(b);
-      std::copy(state.block_params[bi].begin(), state.block_params[bi].end(),
-                w.begin() + off);
-      std::copy(state.adam_m[bi].begin(), state.adam_m[bi].end(),
-                m.begin() + off);
-      std::copy(state.adam_v[bi].begin(), state.adam_v[bi].end(),
-                v.begin() + off);
-    }
-    master[c] = std::move(w);
-    adam[c] = AdamShard(spec.param_count);
-    adam[c].restore(std::move(m), std::move(v), state.step_count);
-  }
-}
-
 }  // namespace weipipe

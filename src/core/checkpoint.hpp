@@ -2,17 +2,14 @@
 // step counter) in a self-describing binary format.
 //
 // State is expressed block-major (one entry per model block), the common
-// currency of every trainer; the sharded trainers map it to/from their
-// per-chunk shards, so a checkpoint written by WeiPipe on 4 workers restores
-// into a sequential trainer — or an 8-worker ring — exactly.
+// currency of every trainer; OwnerState (core/owner_state.hpp) maps it
+// to/from each trainer's shards, so a checkpoint written by WeiPipe on 4
+// workers restores into a sequential trainer — or an 8-worker ring — exactly.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "nn/adam.hpp"
-#include "nn/model.hpp"
 
 namespace weipipe {
 
@@ -27,19 +24,5 @@ struct TrainerState {
 // Throws weipipe::Error on I/O failure, bad magic, or truncation.
 void save_checkpoint(const std::string& path, const TrainerState& state);
 TrainerState load_checkpoint(const std::string& path);
-
-// -- chunk-sharded <-> block-major conversion helpers ------------------------
-// (used by WeiPipe/pipeline/FSDP trainers, whose masters and Adam shards are
-// flat per-chunk buffers).
-TrainerState export_sharded_state(const Model& model,
-                                  const std::vector<ChunkSpec>& chunks,
-                                  const std::vector<std::vector<float>>& master,
-                                  const std::vector<AdamShard>& adam);
-
-void import_sharded_state(const Model& model,
-                          const std::vector<ChunkSpec>& chunks,
-                          const TrainerState& state,
-                          std::vector<std::vector<float>>& master,
-                          std::vector<AdamShard>& adam);
 
 }  // namespace weipipe

@@ -129,31 +129,34 @@ void attention_forward_naive(const float* q, const float* k, const float* v,
   const std::int64_t H = nh * dh;
   const std::int64_t Hkv = nkv * dh;
   const std::int64_t group = nh / nkv;
-  parallel_for(0, static_cast<std::size_t>(G * nh), [&](std::size_t gh) {
-    const std::int64_t g = static_cast<std::int64_t>(gh) / nh;
-    const std::int64_t h = static_cast<std::int64_t>(gh) % nh;
-    const std::int64_t kvh = h / group;  // shared key/value head
-    float* p = probs + (g * nh + h) * S * S;
-    for (std::int64_t i = 0; i < S; ++i) {
-      const float* qi = q + (g * S + i) * H + h * dh;
-      float* pi = p + i * S;
-      for (std::int64_t j = 0; j <= i; ++j) {
-        const float* kj = k + (g * S + j) * Hkv + kvh * dh;
-        float acc = 0.0f;
-        for (std::int64_t d = 0; d < dh; ++d) {
-          acc += qi[d] * kj[d];
+  const std::size_t heads = static_cast<std::size_t>(G * nh);
+  parallel_for_range(0, heads, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t gh = lo; gh < hi; ++gh) {
+      const std::int64_t g = static_cast<std::int64_t>(gh) / nh;
+      const std::int64_t h = static_cast<std::int64_t>(gh) % nh;
+      const std::int64_t kvh = h / group;  // shared key/value head
+      float* p = probs + (g * nh + h) * S * S;
+      for (std::int64_t i = 0; i < S; ++i) {
+        const float* qi = q + (g * S + i) * H + h * dh;
+        float* pi = p + i * S;
+        for (std::int64_t j = 0; j <= i; ++j) {
+          const float* kj = k + (g * S + j) * Hkv + kvh * dh;
+          float acc = 0.0f;
+          for (std::int64_t d = 0; d < dh; ++d) {
+            acc += qi[d] * kj[d];
+          }
+          pi[j] = acc * scl;
         }
-        pi[j] = acc * scl;
-      }
-      const std::int64_t valid = i + 1;
-      kernels::softmax_rows(pi, 1, S, &valid);
-      float* oi = out + (g * S + i) * H + h * dh;
-      std::memset(oi, 0, static_cast<std::size_t>(dh) * sizeof(float));
-      for (std::int64_t j = 0; j <= i; ++j) {
-        const float* vj = v + (g * S + j) * Hkv + kvh * dh;
-        const float pij = pi[j];
-        for (std::int64_t d = 0; d < dh; ++d) {
-          oi[d] += pij * vj[d];
+        const std::int64_t valid = i + 1;
+        kernels::softmax_rows(pi, 1, S, &valid);
+        float* oi = out + (g * S + i) * H + h * dh;
+        std::memset(oi, 0, static_cast<std::size_t>(dh) * sizeof(float));
+        for (std::int64_t j = 0; j <= i; ++j) {
+          const float* vj = v + (g * S + j) * Hkv + kvh * dh;
+          const float pij = pi[j];
+          for (std::int64_t d = 0; d < dh; ++d) {
+            oi[d] += pij * vj[d];
+          }
         }
       }
     }
@@ -174,43 +177,46 @@ void attention_backward_naive(const float* q, const float* k, const float* v,
   std::memset(dv, 0, static_cast<std::size_t>(G * S * Hkv) * sizeof(float));
   // Parallelize over (g, kv-head): every query head in the group accumulates
   // into the same dk/dv slices, so the group stays on one task.
-  parallel_for(0, static_cast<std::size_t>(G * nkv), [&](std::size_t gkv) {
-    const std::int64_t g = static_cast<std::int64_t>(gkv) / nkv;
-    const std::int64_t kvh = static_cast<std::int64_t>(gkv) % nkv;
-    std::vector<float> dp(static_cast<std::size_t>(S));
-    for (std::int64_t h = kvh * group; h < (kvh + 1) * group; ++h) {
-      const float* p = probs + (g * nh + h) * S * S;
-      for (std::int64_t i = 0; i < S; ++i) {
-        const float* pi = p + i * S;
-        const float* doi = dout + (g * S + i) * H + h * dh;
-        // dV and dP for row i.
-        double row_dot = 0.0;
-        for (std::int64_t j = 0; j <= i; ++j) {
-          const float* vj = v + (g * S + j) * Hkv + kvh * dh;
-          float acc = 0.0f;
-          for (std::int64_t d = 0; d < dh; ++d) {
-            acc += doi[d] * vj[d];
+  const std::size_t kv_groups = static_cast<std::size_t>(G * nkv);
+  parallel_for_range(0, kv_groups, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t gkv = lo; gkv < hi; ++gkv) {
+      const std::int64_t g = static_cast<std::int64_t>(gkv) / nkv;
+      const std::int64_t kvh = static_cast<std::int64_t>(gkv) % nkv;
+      std::vector<float> dp(static_cast<std::size_t>(S));
+      for (std::int64_t h = kvh * group; h < (kvh + 1) * group; ++h) {
+        const float* p = probs + (g * nh + h) * S * S;
+        for (std::int64_t i = 0; i < S; ++i) {
+          const float* pi = p + i * S;
+          const float* doi = dout + (g * S + i) * H + h * dh;
+          // dV and dP for row i.
+          double row_dot = 0.0;
+          for (std::int64_t j = 0; j <= i; ++j) {
+            const float* vj = v + (g * S + j) * Hkv + kvh * dh;
+            float acc = 0.0f;
+            for (std::int64_t d = 0; d < dh; ++d) {
+              acc += doi[d] * vj[d];
+            }
+            dp[static_cast<std::size_t>(j)] = acc;
+            row_dot += static_cast<double>(acc) * pi[j];
+            float* dvj = dv + (g * S + j) * Hkv + kvh * dh;
+            const float pij = pi[j];
+            for (std::int64_t d = 0; d < dh; ++d) {
+              dvj[d] += pij * doi[d];
+            }
           }
-          dp[static_cast<std::size_t>(j)] = acc;
-          row_dot += static_cast<double>(acc) * pi[j];
-          float* dvj = dv + (g * S + j) * Hkv + kvh * dh;
-          const float pij = pi[j];
-          for (std::int64_t d = 0; d < dh; ++d) {
-            dvj[d] += pij * doi[d];
-          }
-        }
-        // dScores_ij = P_ij * (dP_ij - sum_k dP_ik P_ik); then dq, dk.
-        const float* qi = q + (g * S + i) * H + h * dh;
-        float* dqi = dq + (g * S + i) * H + h * dh;
-        for (std::int64_t j = 0; j <= i; ++j) {
-          const float ds =
-              pi[j] * (dp[static_cast<std::size_t>(j)] -
-                       static_cast<float>(row_dot)) * scl;
-          const float* kj = k + (g * S + j) * Hkv + kvh * dh;
-          float* dkj = dk + (g * S + j) * Hkv + kvh * dh;
-          for (std::int64_t d = 0; d < dh; ++d) {
-            dqi[d] += ds * kj[d];
-            dkj[d] += ds * qi[d];
+          // dScores_ij = P_ij * (dP_ij - sum_k dP_ik P_ik); then dq, dk.
+          const float* qi = q + (g * S + i) * H + h * dh;
+          float* dqi = dq + (g * S + i) * H + h * dh;
+          for (std::int64_t j = 0; j <= i; ++j) {
+            const float ds =
+                pi[j] * (dp[static_cast<std::size_t>(j)] -
+                         static_cast<float>(row_dot)) * scl;
+            const float* kj = k + (g * S + j) * Hkv + kvh * dh;
+            float* dkj = dk + (g * S + j) * Hkv + kvh * dh;
+            for (std::int64_t d = 0; d < dh; ++d) {
+              dqi[d] += ds * kj[d];
+              dkj[d] += ds * qi[d];
+            }
           }
         }
       }
@@ -233,73 +239,77 @@ void attention_forward_stream(const float* q, const float* k, const float* v,
   // of O(S^2) scores.
   constexpr std::int64_t kBq = 64;
   constexpr std::int64_t kBk = 64;
-  parallel_for(0, static_cast<std::size_t>(G * nh), [&](std::size_t gh) {
-    const std::int64_t g = static_cast<std::int64_t>(gh) / nh;
-    const std::int64_t h = static_cast<std::int64_t>(gh) % nh;
-    const std::int64_t kvh = h / group;
-    std::vector<float> sblk(static_cast<std::size_t>(kBq * kBk));
-    std::vector<float> acc(static_cast<std::size_t>(kBq * dh));
-    std::vector<float> m(static_cast<std::size_t>(kBq));
-    std::vector<float> l(static_cast<std::size_t>(kBq));
-    for (std::int64_t i0 = 0; i0 < S; i0 += kBq) {
-      const std::int64_t mq = std::min(kBq, S - i0);
-      std::fill(m.begin(), m.end(), -std::numeric_limits<float>::infinity());
-      std::fill(l.begin(), l.end(), 0.0f);
-      std::fill(acc.begin(), acc.end(), 0.0f);
-      const float* qblk = q + (g * S + i0) * H + h * dh;
-      // Causal: the highest query row in this block sees keys 0..i0+mq-1.
-      for (std::int64_t j0 = 0; j0 < i0 + mq; j0 += kBk) {
-        const std::int64_t nk = std::min(kBk, std::min(S, i0 + mq) - j0);
-        // S_blk[mq, nk] = Q_blk * K_blk^T  (K^T: column j is key row j0+j).
-        kernels::gemm(qblk, H, 1, k + (g * S + j0) * Hkv + kvh * dh, 1, Hkv,
-                      sblk.data(), kBk, mq, dh, nk, /*accumulate=*/false);
-        // Online-softmax update per row; masked entries become P = 0.
+  const std::size_t heads = static_cast<std::size_t>(G * nh);
+  parallel_for_range(0, heads, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t gh = lo; gh < hi; ++gh) {
+      const std::int64_t g = static_cast<std::int64_t>(gh) / nh;
+      const std::int64_t h = static_cast<std::int64_t>(gh) % nh;
+      const std::int64_t kvh = h / group;
+      std::vector<float> sblk(static_cast<std::size_t>(kBq * kBk));
+      std::vector<float> acc(static_cast<std::size_t>(kBq * dh));
+      std::vector<float> m(static_cast<std::size_t>(kBq));
+      std::vector<float> l(static_cast<std::size_t>(kBq));
+      for (std::int64_t i0 = 0; i0 < S; i0 += kBq) {
+        const std::int64_t mq = std::min(kBq, S - i0);
+        std::fill(m.begin(), m.end(), -std::numeric_limits<float>::infinity());
+        std::fill(l.begin(), l.end(), 0.0f);
+        std::fill(acc.begin(), acc.end(), 0.0f);
+        const float* qblk = q + (g * S + i0) * H + h * dh;
+        // Causal: the highest query row in this block sees keys 0..i0+mq-1.
+        for (std::int64_t j0 = 0; j0 < i0 + mq; j0 += kBk) {
+          const std::int64_t nk = std::min(kBk, std::min(S, i0 + mq) - j0);
+          // S_blk[mq, nk] = Q_blk * K_blk^T  (K^T: column j is key row j0+j).
+          kernels::gemm(qblk, H, 1, k + (g * S + j0) * Hkv + kvh * dh, 1, Hkv,
+                        sblk.data(), kBk, mq, dh, nk, /*accumulate=*/false);
+          // Online-softmax update per row; masked entries become P = 0.
+          for (std::int64_t i = 0; i < mq; ++i) {
+            float* si = sblk.data() + i * kBk;
+            const std::int64_t qi = i0 + i;
+            const std::int64_t valid = std::min(nk, qi - j0 + 1);
+            if (valid <= 0) {
+              std::fill(si, si + nk, 0.0f);
+              continue;
+            }
+            float bmax = -std::numeric_limits<float>::infinity();
+            for (std::int64_t j = 0; j < valid; ++j) {
+              si[j] *= scl;
+              bmax = std::max(bmax, si[j]);
+            }
+            const float m_new = std::max(m[static_cast<std::size_t>(i)], bmax);
+            const float corr =
+                (l[static_cast<std::size_t>(i)] == 0.0f)
+                    ? 0.0f
+                    : std::exp(m[static_cast<std::size_t>(i)] - m_new);
+            float psum = 0.0f;
+            for (std::int64_t j = 0; j < valid; ++j) {
+              si[j] = std::exp(si[j] - m_new);
+              psum += si[j];
+            }
+            std::fill(si + valid, si + nk, 0.0f);
+            l[static_cast<std::size_t>(i)] =
+                l[static_cast<std::size_t>(i)] * corr + psum;
+            m[static_cast<std::size_t>(i)] = m_new;
+            float* ai = acc.data() + i * dh;
+            for (std::int64_t d = 0; d < dh; ++d) {
+              ai[d] *= corr;
+            }
+          }
+          // acc[mq, dh] += P_blk * V_blk.
+          kernels::gemm(sblk.data(), kBk, 1,
+                        v + (g * S + j0) * Hkv + kvh * dh, Hkv, 1, acc.data(),
+                        dh, mq, nk, dh, /*accumulate=*/true);
+        }
         for (std::int64_t i = 0; i < mq; ++i) {
-          float* si = sblk.data() + i * kBk;
-          const std::int64_t qi = i0 + i;
-          const std::int64_t valid = std::min(nk, qi - j0 + 1);
-          if (valid <= 0) {
-            std::fill(si, si + nk, 0.0f);
-            continue;
-          }
-          float bmax = -std::numeric_limits<float>::infinity();
-          for (std::int64_t j = 0; j < valid; ++j) {
-            si[j] *= scl;
-            bmax = std::max(bmax, si[j]);
-          }
-          const float m_new = std::max(m[static_cast<std::size_t>(i)], bmax);
-          const float corr =
-              (l[static_cast<std::size_t>(i)] == 0.0f)
-                  ? 0.0f
-                  : std::exp(m[static_cast<std::size_t>(i)] - m_new);
-          float psum = 0.0f;
-          for (std::int64_t j = 0; j < valid; ++j) {
-            si[j] = std::exp(si[j] - m_new);
-            psum += si[j];
-          }
-          std::fill(si + valid, si + nk, 0.0f);
-          l[static_cast<std::size_t>(i)] =
-              l[static_cast<std::size_t>(i)] * corr + psum;
-          m[static_cast<std::size_t>(i)] = m_new;
-          float* ai = acc.data() + i * dh;
+          float* oi = out + (g * S + i0 + i) * H + h * dh;
+          const float* ai = acc.data() + i * dh;
+          const float inv = 1.0f / l[static_cast<std::size_t>(i)];
           for (std::int64_t d = 0; d < dh; ++d) {
-            ai[d] *= corr;
+            oi[d] = ai[d] * inv;
           }
+          lse[(g * nh + h) * S + i0 + i] =
+              m[static_cast<std::size_t>(i)] +
+              std::log(l[static_cast<std::size_t>(i)]);
         }
-        // acc[mq, dh] += P_blk * V_blk.
-        kernels::gemm(sblk.data(), kBk, 1, v + (g * S + j0) * Hkv + kvh * dh,
-                      Hkv, 1, acc.data(), dh, mq, nk, dh, /*accumulate=*/true);
-      }
-      for (std::int64_t i = 0; i < mq; ++i) {
-        float* oi = out + (g * S + i0 + i) * H + h * dh;
-        const float* ai = acc.data() + i * dh;
-        const float inv = 1.0f / l[static_cast<std::size_t>(i)];
-        for (std::int64_t d = 0; d < dh; ++d) {
-          oi[d] = ai[d] * inv;
-        }
-        lse[(g * nh + h) * S + i0 + i] =
-            m[static_cast<std::size_t>(i)] +
-            std::log(l[static_cast<std::size_t>(i)]);
       }
     }
   });
@@ -319,38 +329,41 @@ void attention_backward_stream(const float* q, const float* k, const float* v,
   std::memset(dk, 0, static_cast<std::size_t>(G * S * Hkv) * sizeof(float));
   std::memset(dv, 0, static_cast<std::size_t>(G * S * Hkv) * sizeof(float));
   // Group query heads sharing a kv head onto one task (dk/dv accumulation).
-  parallel_for(0, static_cast<std::size_t>(G * nkv), [&](std::size_t gkv) {
-    const std::int64_t g = static_cast<std::int64_t>(gkv) / nkv;
-    const std::int64_t kvh = static_cast<std::int64_t>(gkv) % nkv;
-    for (std::int64_t h = kvh * group; h < (kvh + 1) * group; ++h) {
-      for (std::int64_t i = 0; i < S; ++i) {
-        const float* qi = q + (g * S + i) * H + h * dh;
-        const float* oi = out + (g * S + i) * H + h * dh;
-        const float* doi = dout + (g * S + i) * H + h * dh;
-        float* dqi = dq + (g * S + i) * H + h * dh;
-        const float lse_i = lse[(g * nh + h) * S + i];
-        // D_i = <dout_i, out_i> (the "delta" trick from FlashAttention-2).
-        float delta = 0.0f;
-        for (std::int64_t d = 0; d < dh; ++d) {
-          delta += doi[d] * oi[d];
-        }
-        for (std::int64_t j = 0; j <= i; ++j) {
-          const float* kj = k + (g * S + j) * Hkv + kvh * dh;
-          const float* vj = v + (g * S + j) * Hkv + kvh * dh;
-          float s = 0.0f;
-          float dpv = 0.0f;
+  const std::size_t kv_groups = static_cast<std::size_t>(G * nkv);
+  parallel_for_range(0, kv_groups, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t gkv = lo; gkv < hi; ++gkv) {
+      const std::int64_t g = static_cast<std::int64_t>(gkv) / nkv;
+      const std::int64_t kvh = static_cast<std::int64_t>(gkv) % nkv;
+      for (std::int64_t h = kvh * group; h < (kvh + 1) * group; ++h) {
+        for (std::int64_t i = 0; i < S; ++i) {
+          const float* qi = q + (g * S + i) * H + h * dh;
+          const float* oi = out + (g * S + i) * H + h * dh;
+          const float* doi = dout + (g * S + i) * H + h * dh;
+          float* dqi = dq + (g * S + i) * H + h * dh;
+          const float lse_i = lse[(g * nh + h) * S + i];
+          // D_i = <dout_i, out_i> (the "delta" trick from FlashAttention-2).
+          float delta = 0.0f;
           for (std::int64_t d = 0; d < dh; ++d) {
-            s += qi[d] * kj[d];
-            dpv += doi[d] * vj[d];
+            delta += doi[d] * oi[d];
           }
-          const float p = std::exp(s * scl - lse_i);
-          const float ds = p * (dpv - delta) * scl;
-          float* dkj = dk + (g * S + j) * Hkv + kvh * dh;
-          float* dvj = dv + (g * S + j) * Hkv + kvh * dh;
-          for (std::int64_t d = 0; d < dh; ++d) {
-            dqi[d] += ds * kj[d];
-            dkj[d] += ds * qi[d];
-            dvj[d] += p * doi[d];
+          for (std::int64_t j = 0; j <= i; ++j) {
+            const float* kj = k + (g * S + j) * Hkv + kvh * dh;
+            const float* vj = v + (g * S + j) * Hkv + kvh * dh;
+            float s = 0.0f;
+            float dpv = 0.0f;
+            for (std::int64_t d = 0; d < dh; ++d) {
+              s += qi[d] * kj[d];
+              dpv += doi[d] * vj[d];
+            }
+            const float p = std::exp(s * scl - lse_i);
+            const float ds = p * (dpv - delta) * scl;
+            float* dkj = dk + (g * S + j) * Hkv + kvh * dh;
+            float* dvj = dv + (g * S + j) * Hkv + kvh * dh;
+            for (std::int64_t d = 0; d < dh; ++d) {
+              dqi[d] += ds * kj[d];
+              dkj[d] += ds * qi[d];
+              dvj[d] += p * doi[d];
+            }
           }
         }
       }

@@ -49,13 +49,14 @@ class Model {
   // circulated (production WeiPipe; see WeiPipeOptions::replicate_vocab).
   std::vector<ChunkSpec> make_layer_chunks(std::int64_t num_chunks) const;
 
-  // Deterministic initialization: block i draws from rng.fork(i), so chunk
-  // buffers can be initialized independently (and identically) on any rank.
+  // Deterministic initialization: block i draws from rng.fork(i), so any
+  // flat buffer of blocks is initialized independently (and identically) on
+  // any rank.
   std::vector<std::vector<float>> init_block_params(std::uint64_t seed) const;
 
-  // Flat per-chunk weight buffers for a given chunking.
-  std::vector<std::vector<float>> init_chunk_params(
-      const std::vector<ChunkSpec>& chunks, std::uint64_t seed) const;
+  // Initializes `blocks`, concatenated in this order, into `out` in place.
+  void init_params(std::span<const std::int64_t> blocks, std::uint64_t seed,
+                   std::span<float> out) const;
 
   // Offset of block `b` inside its chunk's flat buffer.
   std::int64_t block_offset_in_chunk(const ChunkSpec& chunk,

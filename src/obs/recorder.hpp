@@ -31,7 +31,7 @@ namespace weipipe::obs {
 struct RecorderOptions {
   // Spans kept per producer thread between drains.
   std::size_t ring_capacity = 1 << 16;
-  // Record a kKernel span per thread-pool parallel_for dispatch. Off by
+  // Record a kKernel span per thread-pool parallel_for_range dispatch. Off by
   // default: tensor kernels fire orders of magnitude more often than
   // schedule-level ops and would drown the rings.
   bool record_kernels = false;

@@ -30,7 +30,7 @@ enum class SpanKind : std::uint8_t {
   kCollective,    // one ring collective, end to end
   kBarrier,
   // Substrate.
-  kKernel,  // one parallel_for dispatch on the tensor thread pool
+  kKernel,  // one parallel_for_range dispatch on the tensor thread pool
   kStep,    // one whole train_iteration (recorded by the driving thread)
   kFault,   // one injected fault (comm/fault.hpp); zero-duration marker whose
             // tag/bytes carry the fault kind and injected delay

@@ -260,14 +260,18 @@ TEST(Model, ChunkInitMatchesBlockInit) {
   Model model(cfg);
   const auto block_params = model.init_block_params(123);
   const auto chunks = model.make_chunks(2);
-  const auto chunk_params = model.init_chunk_params(chunks, 123);
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    for (std::int64_t b = chunks[c].begin; b < chunks[c].end; ++b) {
-      const std::int64_t off = model.block_offset_in_chunk(chunks[c], b);
+  for (const ChunkSpec& chunk : chunks) {
+    std::vector<std::int64_t> blocks;
+    for (std::int64_t b = chunk.begin; b < chunk.end; ++b) {
+      blocks.push_back(b);
+    }
+    std::vector<float> flat(static_cast<std::size_t>(chunk.param_count));
+    model.init_params(blocks, 123, flat);
+    for (const std::int64_t b : blocks) {
+      const std::int64_t off = model.block_offset_in_chunk(chunk, b);
       const auto& expected = block_params[static_cast<std::size_t>(b)];
       for (std::size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(chunk_params[c][static_cast<std::size_t>(off) + i],
-                  expected[i])
+        ASSERT_EQ(flat[static_cast<std::size_t>(off) + i], expected[i])
             << "block " << b << " elem " << i;
       }
     }

@@ -120,9 +120,20 @@ TEST(Rng, NextBelowBounded) {
 
 // ---- thread pool -------------------------------------------------------------------
 
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
+// Calls f(i) for every index of [begin, end) through the global pool, one
+// index per claimed chunk at least.
+template <typename F>
+void for_each_index(std::size_t begin, std::size_t end, F f) {
+  parallel_for_range(begin, end, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      f(i);
+    }
+  });
+}
+
+TEST(ThreadPool, ParallelForRangeCoversRangeExactlyOnce) {
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(0, 1000, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for_each_index(0, 1000, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
   }
@@ -130,28 +141,27 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
 
 TEST(ThreadPool, EmptyAndTinyRanges) {
   std::atomic<int> count{0};
-  parallel_for(5, 5, [&](std::size_t) { count.fetch_add(1); });
+  for_each_index(5, 5, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 0);
-  parallel_for(0, 1, [&](std::size_t) { count.fetch_add(1); });
+  for_each_index(0, 1, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 1);
 }
 
 TEST(ThreadPool, ExceptionPropagates) {
-  EXPECT_THROW(
-      parallel_for(0, 256,
-                   [&](std::size_t i) {
-                     if (i == 77) {
-                       WEIPIPE_CHECK_MSG(false, "boom at " << i);
-                     }
-                   }),
-      Error);
+  EXPECT_THROW(for_each_index(0, 256,
+                              [&](std::size_t i) {
+                                if (i == 77) {
+                                  WEIPIPE_CHECK_MSG(false, "boom at " << i);
+                                }
+                              }),
+               Error);
 }
 
 TEST(ThreadPool, NestedCallsRunSerially) {
-  // A parallel_for from inside a pool task must not deadlock.
+  // A dispatch from inside a pool task must not deadlock.
   std::atomic<int> total{0};
-  parallel_for(0, 8, [&](std::size_t) {
-    parallel_for(0, 8, [&](std::size_t) { total.fetch_add(1); });
+  for_each_index(0, 8, [&](std::size_t) {
+    for_each_index(0, 8, [&](std::size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 64);
 }
@@ -163,7 +173,7 @@ TEST(ThreadPool, ConcurrentCallersFromManyThreads) {
   for (int t = 0; t < 6; ++t) {
     threads.emplace_back([&] {
       for (int rep = 0; rep < 5; ++rep) {
-        parallel_for(0, 100, [&](std::size_t) { total.fetch_add(1); });
+        for_each_index(0, 100, [&](std::size_t) { total.fetch_add(1); });
       }
     });
   }
@@ -173,12 +183,53 @@ TEST(ThreadPool, ConcurrentCallersFromManyThreads) {
   EXPECT_EQ(total.load(), 6 * 5 * 100);
 }
 
+// Many tiny back-to-back dispatches from `callers` threads, each counting
+// every index it runs. A worker that joins a dispatch after its caller has
+// returned runs on a dead stack frame (or on the next dispatch at the same
+// address): counts go wrong, or the pool hangs (ctest TIMEOUT).
+void tiny_dispatch_storm(int callers, int dispatches) {
+  constexpr std::size_t kIndices = 64;
+  std::vector<std::vector<std::atomic<int>>> hits;
+  for (int t = 0; t < callers; ++t) {
+    hits.emplace_back(kIndices);
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < callers; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::atomic<int>>& mine = hits[static_cast<std::size_t>(t)];
+      for (int rep = 0; rep < dispatches; ++rep) {
+        for_each_index(0, kIndices,
+                       [&](std::size_t i) { mine[i].fetch_add(1); });
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  for (int t = 0; t < callers; ++t) {
+    for (std::size_t i = 0; i < kIndices; ++i) {
+      ASSERT_EQ(hits[static_cast<std::size_t>(t)][i].load(), dispatches)
+          << "caller " << t << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPool, TinyDispatchStormFromOneThreadCountsExactly) {
+  tiny_dispatch_storm(1, 200000);
+}
+
+TEST(ThreadPool, TinyDispatchStormFromFourThreadsCountsExactly) {
+  tiny_dispatch_storm(4, 50000);
+}
+
 TEST(ThreadPool, DedicatedPoolRunsWork) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3u);
   std::atomic<int> sum{0};
-  pool.parallel_for(0, 50, [&](std::size_t i) {
-    sum.fetch_add(static_cast<int>(i));
+  pool.for_range(0, 50, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      sum.fetch_add(static_cast<int>(i));
+    }
   });
   EXPECT_EQ(sum.load(), 49 * 50 / 2);
 }
@@ -239,12 +290,14 @@ TEST(ThreadPool, StatsCountDispatchesAndItems) {
   EXPECT_LE(after.steals, after.chunks);
 }
 
-TEST(ThreadPool, FreeParallelForHonorsGrainSerially) {
+TEST(ThreadPool, FreeParallelForRangeHonorsGrainSerially) {
   // The free function must run serially (no pool hand-off) when the whole
   // range fits one grain-sized chunk.
   const ThreadPoolStats before = ThreadPool::global().stats();
   int count = 0;  // non-atomic: safe only if truly serial
-  parallel_for(0, 32, [&](std::size_t) { ++count; }, /*grain=*/32);
+  parallel_for_range(0, 32, /*grain=*/32, [&](std::size_t lo, std::size_t hi) {
+    count += static_cast<int>(hi - lo);
+  });
   const ThreadPoolStats after = ThreadPool::global().stats();
   EXPECT_EQ(count, 32);
   EXPECT_EQ(after.dispatches - before.dispatches, 0u);

@@ -233,11 +233,16 @@ TEST_P(TransportSuite, CollectivesAgreeAtEveryWorldSize) {
 TEST_P(TransportSuite, ZeroCopyPointerIdentityWhereSupported) {
   Fabric fabric(2, nullptr, spec());
   std::atomic<const std::uint8_t*> sent_ptr{nullptr};
+  // A live reference to the sent storage: without it a copying backend may
+  // free the sender's block before the receiver allocates, and the
+  // allocator can hand the receiver that same address.
+  comm::Buffer sent;
   const std::vector<std::uint8_t> expect = pattern_payload(64, 9);
   run_workers(fabric, [&](int rank, Endpoint& ep) {
     if (rank == 0) {
       comm::Buffer buf = comm::Buffer::allocate(expect.size());
       std::memcpy(buf.mutable_data(), expect.data(), expect.size());
+      sent = buf;
       sent_ptr.store(buf.data(), std::memory_order_release);
       ep.send(1, 3, std::move(buf));
     } else {
