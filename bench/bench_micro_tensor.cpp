@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the tensor/nn kernels the trainers
 // spend their time in. With --kernels_json=PATH the binary instead emits a
-// machine-readable GFLOP/s report (tiled vs naive per shape, dispatch
-// overhead, pool counters) — see kernels_json.hpp.
+// machine-readable GFLOP/s report (tiled vs naive per shape, attention
+// backward stream vs naive, dispatch overhead, pool counters) — see
+// kernels_json.hpp.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -127,6 +128,52 @@ double gemm_gflops(KernelFn fn, std::int64_t m, std::int64_t k, std::int64_t n,
          static_cast<double>(n) / secs / 1e9;
 }
 
+// Attention backward at one shape. Both paths start from their own forward
+// output (the naive one needs the materialized probs). FLOPs follow the
+// causal count: five S x S x dh products per head, halved by the mask.
+struct AttnRow {
+  const char* impl;
+  std::int64_t G, S, nh, nkv, dh;
+  double ms, gflops;
+};
+
+AttnRow attention_bwd_row(bool stream, std::int64_t G, std::int64_t S,
+                          std::int64_t nh, std::int64_t nkv, std::int64_t dh,
+                          int reps) {
+  const std::int64_t rows = G * S;
+  const Tensor q = make_randn({rows, nh * dh}, 11);
+  const Tensor k = make_randn({rows, nkv * dh}, 12);
+  const Tensor v = make_randn({rows, nkv * dh}, 13);
+  const Tensor dout = make_randn({rows, nh * dh}, 14);
+  Tensor out({rows, nh * dh});
+  Tensor dq({rows, nh * dh}), dk({rows, nkv * dh}), dv({rows, nkv * dh});
+  Tensor saved(stream ? std::vector<std::int64_t>{G, nh, S}
+                      : std::vector<std::int64_t>{G, nh, S, S});
+  if (stream) {
+    attention_forward_stream(q.data(), k.data(), v.data(), out.data(),
+                             saved.data(), G, S, nh, nkv, dh);
+  } else {
+    attention_forward_naive(q.data(), k.data(), v.data(), out.data(),
+                            saved.data(), G, S, nh, nkv, dh);
+  }
+  auto bwd = [&] {
+    if (stream) {
+      attention_backward_stream(q.data(), k.data(), v.data(), out.data(),
+                                saved.data(), dout.data(), dq.data(),
+                                dk.data(), dv.data(), G, S, nh, nkv, dh);
+    } else {
+      attention_backward_naive(q.data(), k.data(), v.data(), saved.data(),
+                               dout.data(), dq.data(), dk.data(), dv.data(),
+                               G, S, nh, nkv, dh);
+    }
+  };
+  bwd();  // warm
+  const double secs = bench::best_seconds(reps, bwd);
+  const double flops = 5.0 * static_cast<double>(G * nh * S * S * dh);
+  return {stream ? "stream" : "naive", G, S, nh, nkv, dh, secs * 1e3,
+          flops / secs / 1e9};
+}
+
 // Mean cost of pushing one empty dispatch through the arena (publish slot +
 // wake workers + claim loop + join) — the fixed overhead every parallel
 // kernel pays.
@@ -179,6 +226,19 @@ int write_kernels_json(const std::string& path, bool smoke) {
   rows.push_back({"matmul_bt_tiny_n", "naive", tall, tall, 8,
                   gemm_gflops(&kernels::matmul_bt_naive, tall, tall, 8, reps)});
 
+  // The long-context attention shape (H = 64, 4 heads), MHA and nkv = 1.
+  std::vector<AttnRow> attn;
+  const std::vector<std::int64_t> seqs =
+      smoke ? std::vector<std::int64_t>{128}
+            : std::vector<std::int64_t>{512, 1024};
+  for (std::int64_t S : seqs) {
+    for (std::int64_t nkv : {4, 1}) {
+      for (bool stream : {true, false}) {
+        attn.push_back(attention_bwd_row(stream, 1, S, 4, nkv, 16, reps));
+      }
+    }
+  }
+
   const double overhead_ns = dispatch_overhead_ns(smoke ? 200 : 2000);
   const ThreadPoolStats after = ThreadPool::global().stats();
 
@@ -202,6 +262,19 @@ int write_kernels_json(const std::string& path, bool smoke) {
                  r.gflops, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"attention\": [\n");
+  for (std::size_t i = 0; i < attn.size(); ++i) {
+    const AttnRow& r = attn[i];
+    std::fprintf(f,
+                 "    {\"name\": \"attention_bwd\", \"impl\": \"%s\", "
+                 "\"G\": %lld, \"S\": %lld, \"nh\": %lld, \"nkv\": %lld, "
+                 "\"dh\": %lld, \"ms\": %.3f, \"gflops\": %.3f}%s\n",
+                 r.impl, static_cast<long long>(r.G),
+                 static_cast<long long>(r.S), static_cast<long long>(r.nh),
+                 static_cast<long long>(r.nkv), static_cast<long long>(r.dh),
+                 r.ms, r.gflops, i + 1 < attn.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"dispatch_overhead_ns\": %.1f,\n", overhead_ns);
   std::fprintf(f,
                "  \"pool\": {\"dispatches\": %llu, \"serial_runs\": %llu, "
@@ -214,7 +287,8 @@ int write_kernels_json(const std::string& path, bool smoke) {
                static_cast<unsigned long long>(after.chunks - before.chunks),
                static_cast<unsigned long long>(after.steals - before.steals));
   std::fclose(f);
-  std::printf("wrote %s (%zu kernel rows)\n", path.c_str(), rows.size());
+  std::printf("wrote %s (%zu kernel rows, %zu attention rows)\n",
+              path.c_str(), rows.size(), attn.size());
   return 0;
 }
 

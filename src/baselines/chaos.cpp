@@ -111,6 +111,9 @@ ChaosReport run_chaos(const ChaosConfig& config) {
           trainer->export_rank_state(config.capture_rank_state);
     }
     report.completed = true;
+  } catch (const comm::CommError& e) {
+    report.error = e.what();
+    report.timed_out = e.info().kind == comm::CommErrorKind::kRecvTimeout;
   } catch (const Error& e) {
     report.error = e.what();
   }
@@ -156,6 +159,23 @@ ChaosReport run_chaos(const ChaosConfig& config) {
   return report;
 }
 
+const char* to_string(Verdict verdict) {
+  switch (verdict) {
+    case Verdict::kEqual: return "equal";
+    case Verdict::kDiverged: return "diverged";
+    case Verdict::kTimedOut: return "timed out";
+    case Verdict::kCrashed: return "crashed";
+  }
+  return "?";
+}
+
+Verdict verdict(const ChaosReport& report) {
+  if (!report.completed) {
+    return report.timed_out ? Verdict::kTimedOut : Verdict::kCrashed;
+  }
+  return report.bitwise_equal ? Verdict::kEqual : Verdict::kDiverged;
+}
+
 std::string report_to_json(const ChaosReport& report) {
   std::ostringstream oss;
   oss << "{\n";
@@ -163,6 +183,7 @@ std::string report_to_json(const ChaosReport& report) {
   oss << "  \"faults\": \"" << report.spec << "\",\n";
   oss << "  \"seed\": " << report.seed << ",\n";
   oss << "  \"ok\": " << (report.ok() ? "true" : "false") << ",\n";
+  oss << "  \"verdict\": \"" << to_string(verdict(report)) << "\",\n";
   oss << "  \"completed\": " << (report.completed ? "true" : "false")
       << ",\n";
   oss << "  \"bitwise_equal\": " << (report.bitwise_equal ? "true" : "false")

@@ -36,8 +36,8 @@ struct ChaosConfig {
   // parent's cross-process differ. -1 (single-process mode) skips capture.
   int capture_rank_state = -1;
   // Fabric recv timeout override for both runs; 0 keeps the fabric default.
-  // Mutation tests that deliberately wedge the stream use a short one so
-  // the surviving ranks fail fast instead of waiting out the default 60s.
+  // Mutation tests use a short one so that a run that wedges fails fast
+  // instead of waiting out the default 60s.
   std::chrono::milliseconds recv_timeout{0};
 };
 
@@ -58,6 +58,7 @@ struct ChaosReport {
   bool completed = false;
   bool bitwise_equal = false;
   std::string error;  // what() of the failure when !completed
+  bool timed_out = false;  // that failure was a receive timeout
   std::size_t blocks = 0;
   std::size_t mismatched_blocks = 0;
   FirstDiff first_diff;        // valid when completed && !bitwise_equal
@@ -74,6 +75,20 @@ struct ChaosReport {
 
   bool ok() const { return completed && bitwise_equal; }
 };
+
+// How a chaos cell ended, in ascending severity; the value is the
+// `weipipe_cli chaos` exit code. A run that stops on an error in one rank
+// usually leaves the others waiting, so an error that is not a receive
+// timeout ranks above one that is.
+enum class Verdict : int {
+  kEqual = 0,     // completed, bitwise equal to the clean run
+  kDiverged = 1,  // completed, but the weights differ from the clean run
+  kTimedOut = 2,  // a receive outlived the recv timeout
+  kCrashed = 3,   // any other error
+};
+
+const char* to_string(Verdict verdict);  // "equal", "diverged", ...
+Verdict verdict(const ChaosReport& report);
 
 // Runs `strategy` twice on a fresh SyntheticDataset — once clean, once with
 // `plan` installed in the trainer's fabric — and compares final weights

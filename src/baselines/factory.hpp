@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "comm/fabric.hpp"
 #include "core/trainer.hpp"
 
 namespace weipipe {
@@ -14,10 +15,12 @@ namespace weipipe {
 std::vector<std::string> trainer_names();
 
 // Builds a trainer by name: "sequential", "weipipe" / "weipipe-interleave",
-// "weipipe-naive", "1f1b", "gpipe", "fsdp". `world` is ignored by
+// "weipipe-naive", "1f1b", "gpipe", "fsdp". `world` and `link_model` (an
+// emulated link every fabric message is delayed by) are ignored by
 // "sequential". Throws weipipe::Error for unknown names or invalid shapes.
 std::unique_ptr<Trainer> make_trainer(const std::string& name,
                                       const TrainConfig& cfg,
-                                      std::int64_t world);
+                                      std::int64_t world,
+                                      comm::LinkModel link_model = nullptr);
 
 }  // namespace weipipe

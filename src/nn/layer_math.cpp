@@ -22,6 +22,11 @@ std::size_t grain_for(std::int64_t work_per_item) {
       1, kElemsPerChunk / std::max<std::int64_t>(1, work_per_item)));
 }
 
+// Streaming-attention tile: query rows x key columns per GEMM block, shared
+// by the forward and backward kernels.
+constexpr std::int64_t kBq = 64;
+constexpr std::int64_t kBk = 64;
+
 }  // namespace
 
 void rmsnorm_forward(const float* x, const float* gain, float* y,
@@ -237,8 +242,6 @@ void attention_forward_stream(const float* q, const float* k, const float* v,
   // Q/K/V layouts (a transpose is a stride swap); only the online-softmax
   // rescale between them is elementwise. O(S) working set per task instead
   // of O(S^2) scores.
-  constexpr std::int64_t kBq = 64;
-  constexpr std::int64_t kBk = 64;
   const std::size_t heads = static_cast<std::size_t>(G * nh);
   parallel_for_range(0, heads, 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t gh = lo; gh < hi; ++gh) {
@@ -325,50 +328,129 @@ void attention_backward_stream(const float* q, const float* k, const float* v,
   const std::int64_t H = nh * dh;
   const std::int64_t Hkv = nkv * dh;
   const std::int64_t group = nh / nkv;
-  std::memset(dq, 0, static_cast<std::size_t>(G * S * H) * sizeof(float));
-  std::memset(dk, 0, static_cast<std::size_t>(G * S * Hkv) * sizeof(float));
-  std::memset(dv, 0, static_cast<std::size_t>(G * S * Hkv) * sizeof(float));
-  // Group query heads sharing a kv head onto one task (dk/dv accumulation).
-  const std::size_t kv_groups = static_cast<std::size_t>(G * nkv);
-  parallel_for_range(0, kv_groups, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t gkv = lo; gkv < hi; ++gkv) {
-      const std::int64_t g = static_cast<std::int64_t>(gkv) / nkv;
-      const std::int64_t kvh = static_cast<std::int64_t>(gkv) % nkv;
-      for (std::int64_t h = kvh * group; h < (kvh + 1) * group; ++h) {
-        for (std::int64_t i = 0; i < S; ++i) {
-          const float* qi = q + (g * S + i) * H + h * dh;
-          const float* oi = out + (g * S + i) * H + h * dh;
-          const float* doi = dout + (g * S + i) * H + h * dh;
-          float* dqi = dq + (g * S + i) * H + h * dh;
-          const float lse_i = lse[(g * nh + h) * S + i];
-          // D_i = <dout_i, out_i> (the "delta" trick from FlashAttention-2).
-          float delta = 0.0f;
+  const std::size_t q_elems = static_cast<std::size_t>(G * S * H);
+  const std::size_t kv_elems = static_cast<std::size_t>(G * S * Hkv);
+  std::memset(dq, 0, q_elems * sizeof(float));
+  // One task per (g, query head), so every output has exactly one writer.
+  // With MHA each task owns its dk/dv column slice; with GQA the query heads
+  // of a group would share one, so each writes a dq-shaped partial instead
+  // and the partials are summed in ascending head order afterwards. Either
+  // way the result is bitwise independent of the thread count.
+  std::vector<float> dk_part;
+  std::vector<float> dv_part;
+  float* dk_acc = dk;
+  float* dv_acc = dv;
+  if (group == 1) {
+    std::memset(dk, 0, kv_elems * sizeof(float));
+    std::memset(dv, 0, kv_elems * sizeof(float));
+  } else {
+    dk_part.assign(q_elems, 0.0f);
+    dv_part.assign(q_elems, 0.0f);
+    dk_acc = dk_part.data();
+    dv_acc = dv_part.data();
+  }
+  // FlashAttention-2 backward: per (query tile, key tile) recompute the
+  // scores and dP = dO*V^T as GEMMs, turn them into P and dS in one
+  // elementwise pass, then accumulate dV += P^T*dO, dK += dS^T*Q and
+  // dQ += dS*K as GEMMs. A transpose is a stride swap.
+  const std::size_t heads = static_cast<std::size_t>(G * nh);
+  parallel_for_range(0, heads, 1, [&](std::size_t lo, std::size_t hi) {
+    std::vector<float> pblk(static_cast<std::size_t>(kBq * kBk));
+    std::vector<float> dsblk(static_cast<std::size_t>(kBq * kBk));
+    std::vector<float> delta(static_cast<std::size_t>(kBq));
+    for (std::size_t gh = lo; gh < hi; ++gh) {
+      const std::int64_t g = static_cast<std::int64_t>(gh) / nh;
+      const std::int64_t h = static_cast<std::int64_t>(gh) % nh;
+      const std::int64_t kvh = h / group;
+      // Partials share dq's layout (row stride H, column slice h); with MHA
+      // that is dk/dv's own layout, since Hkv == H and kvh == h.
+      float* dk_h = dk_acc + g * S * H + h * dh;
+      float* dv_h = dv_acc + g * S * H + h * dh;
+      const float* k_h = k + g * S * Hkv + kvh * dh;
+      const float* v_h = v + g * S * Hkv + kvh * dh;
+      for (std::int64_t i0 = 0; i0 < S; i0 += kBq) {
+        const std::int64_t mq = std::min(kBq, S - i0);
+        const std::int64_t row0 = (g * S + i0) * H + h * dh;
+        const float* qblk = q + row0;
+        const float* doblk = dout + row0;
+        // D_i = <dO_i, O_i> (the FlashAttention-2 "delta").
+        for (std::int64_t i = 0; i < mq; ++i) {
+          const float* oi = out + row0 + i * H;
+          const float* doi = doblk + i * H;
+          float acc = 0.0f;
           for (std::int64_t d = 0; d < dh; ++d) {
-            delta += doi[d] * oi[d];
+            acc += doi[d] * oi[d];
           }
-          for (std::int64_t j = 0; j <= i; ++j) {
-            const float* kj = k + (g * S + j) * Hkv + kvh * dh;
-            const float* vj = v + (g * S + j) * Hkv + kvh * dh;
-            float s = 0.0f;
-            float dpv = 0.0f;
-            for (std::int64_t d = 0; d < dh; ++d) {
-              s += qi[d] * kj[d];
-              dpv += doi[d] * vj[d];
+          delta[static_cast<std::size_t>(i)] = acc;
+        }
+        const float* lse_blk = lse + (g * nh + h) * S + i0;
+        // Causal: the highest query row in this tile sees keys 0..i0+mq-1.
+        for (std::int64_t j0 = 0; j0 < i0 + mq; j0 += kBk) {
+          const std::int64_t nk = std::min(kBk, i0 + mq - j0);
+          const float* kblk = k_h + j0 * Hkv;
+          const float* vblk = v_h + j0 * Hkv;
+          // S = Q*K^T and dP = dO*V^T, both [mq, nk].
+          kernels::gemm(qblk, H, 1, kblk, 1, Hkv, pblk.data(), kBk, mq,
+                        dh, nk, /*accumulate=*/false);
+          kernels::gemm(doblk, H, 1, vblk, 1, Hkv, dsblk.data(), kBk, mq,
+                        dh, nk, /*accumulate=*/false);
+          // P = exp(S*scl - lse), dS = P*(dP - D)*scl; masked entries are 0
+          // so the three GEMMs below can run over the whole tile.
+          for (std::int64_t i = 0; i < mq; ++i) {
+            float* pi = pblk.data() + i * kBk;
+            float* dsi = dsblk.data() + i * kBk;
+            const std::int64_t valid =
+                std::clamp<std::int64_t>(i0 + i - j0 + 1, 0, nk);
+            const float lse_i = lse_blk[i];
+            const float delta_i = delta[static_cast<std::size_t>(i)];
+            for (std::int64_t j = 0; j < valid; ++j) {
+              const float p = std::exp(pi[j] * scl - lse_i);
+              pi[j] = p;
+              dsi[j] = p * (dsi[j] - delta_i) * scl;
             }
-            const float p = std::exp(s * scl - lse_i);
-            const float ds = p * (dpv - delta) * scl;
-            float* dkj = dk + (g * S + j) * Hkv + kvh * dh;
-            float* dvj = dv + (g * S + j) * Hkv + kvh * dh;
-            for (std::int64_t d = 0; d < dh; ++d) {
-              dqi[d] += ds * kj[d];
-              dkj[d] += ds * qi[d];
-              dvj[d] += p * doi[d];
-            }
+            std::fill(pi + valid, pi + nk, 0.0f);
+            std::fill(dsi + valid, dsi + nk, 0.0f);
           }
+          // dV[nk, dh] += P^T * dO;  dK[nk, dh] += dS^T * Q.
+          kernels::gemm(pblk.data(), 1, kBk, doblk, H, 1,
+                        dv_h + j0 * H, H, nk, mq, dh, /*accumulate=*/true);
+          kernels::gemm(dsblk.data(), 1, kBk, qblk, H, 1,
+                        dk_h + j0 * H, H, nk, mq, dh, /*accumulate=*/true);
+          // dQ[mq, dh] += dS * K.
+          kernels::gemm(dsblk.data(), kBk, 1, kblk, Hkv, 1, dq + row0, H,
+                        mq, nk, dh, /*accumulate=*/true);
         }
       }
     }
   });
+  if (group == 1) {
+    return;
+  }
+  // dk/dv = sum over the group's query heads, in ascending head order.
+  parallel_for_range(
+      0, static_cast<std::size_t>(G * S), grain_for(H),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t rr = lo; rr < hi; ++rr) {
+          const std::int64_t r = static_cast<std::int64_t>(rr);
+          for (std::int64_t kvh = 0; kvh < nkv; ++kvh) {
+            float* dkr = dk + r * Hkv + kvh * dh;
+            float* dvr = dv + r * Hkv + kvh * dh;
+            const std::int64_t h0 = kvh * group;
+            std::memcpy(dkr, dk_part.data() + r * H + h0 * dh,
+                        static_cast<std::size_t>(dh) * sizeof(float));
+            std::memcpy(dvr, dv_part.data() + r * H + h0 * dh,
+                        static_cast<std::size_t>(dh) * sizeof(float));
+            for (std::int64_t h = h0 + 1; h < h0 + group; ++h) {
+              const float* dkp = dk_part.data() + r * H + h * dh;
+              const float* dvp = dv_part.data() + r * H + h * dh;
+              for (std::int64_t d = 0; d < dh; ++d) {
+                dkr[d] += dkp[d];
+                dvr[d] += dvp[d];
+              }
+            }
+          }
+        }
+      });
 }
 
 void swiglu_forward(const float* x, const float* w1, const float* w3,

@@ -46,7 +46,10 @@ void attention_backward_naive(const float* q, const float* k, const float* v,
                               std::int64_t dh);
 
 // Streaming (Flash-style) path: online softmax, saves only the per-row
-// log-sum-exp `lse` [G, nh, S]; backward recomputes probabilities rowwise.
+// log-sum-exp `lse` [G, nh, S]; backward recomputes the probabilities tile
+// by tile (FlashAttention-2). Both run 64x64 tiles through kernels::gemm
+// with one task per (g, query head), and the backward's result is bitwise
+// independent of the thread count (docs/KERNELS.md).
 void attention_forward_stream(const float* q, const float* k, const float* v,
                               float* out, float* lse, std::int64_t G,
                               std::int64_t S, std::int64_t nh,

@@ -650,7 +650,8 @@ ProfileReport run_profile(const ProfileOptions& options) {
         static_cast<double>(bounds.optimizer_bytes);
 
     std::unique_ptr<Trainer> trainer =
-        make_trainer(options.strategy, cfg, options.workers);
+        make_trainer(options.strategy, cfg, options.workers,
+                     options.link_model);
     SyntheticDataset data(cfg.model.vocab_size, cfg.seed);
 
     std::int64_t iter = 0;

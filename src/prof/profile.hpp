@@ -58,6 +58,11 @@ struct ProfileOptions {
   // spans in the trace and fault.* counters in the metrics snapshot.
   std::string fault_spec;
 
+  // Trainer-backed only: emulated link (comm::uniform_link and friends)
+  // that delays every fabric message, so wire time is real and the same for
+  // every strategy; nullptr = the transport's own speed.
+  comm::LinkModel link_model = nullptr;
+
   // Recorder configuration.
   std::size_t ring_capacity = 1 << 16;
   bool record_kernels = false;

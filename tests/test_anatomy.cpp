@@ -347,15 +347,19 @@ TEST(AnatomyIntegration, WeipipeExposesLessCommThanPipelineAtLongContext) {
     GTEST_SKIP() << "sanitizer scheduling distorts the timing comparison";
   }
   // The paper's operating regime: long context (activation traffic large)
-  // with modest per-rank weights. The same gate runs in CI via
-  // `weipipe_cli anatomy --gate-vs`.
+  // with modest per-rank weights (G*S = 1024 against H = 32). Both trainers
+  // run over the same emulated 30 MB/s link, so the fractions compared are
+  // wire time, not inproc scheduling noise. The same gate runs in CI via
+  // `weipipe_cli anatomy --gate-vs --link-mbps 30`.
   prof::ProfileOptions options = small_trainer_options("weipipe");
   options.iters = 4;
   options.warmup_iters = 1;
   options.train.model.dim = 32;
-  options.train.model.seq_len = 128;
-  options.train.seq_len = 128;
+  options.train.model.seq_len = 512;
+  options.train.seq_len = 512;
   options.train.num_microbatches = 8;
+  options.train.microbatch_size = 2;
+  options.link_model = comm::uniform_link(30e6, 0.0);
   const prof::ProfileReport weipipe = prof::run_profile(options);
   options.strategy = "1f1b";
   const prof::ProfileReport pipeline = prof::run_profile(options);

@@ -173,18 +173,25 @@ TEST(Chaos, StallRecoversViaStepBoundaryRollback) {
 }
 
 // Mutation test for the harness itself: disabling the receiver's dedup (the
-// FaultPlan's nodedup knob) makes a duplicated weight-grad message (tag 3 =
-// kTagBD) consumed twice. The differ MUST report divergence — if this test
+// FaultPlan's nodedup knob) lets a duplicated message be consumed as the
+// next one of its stream. Tag 10 (kTagRedistF) carries the same chunk, same
+// size, from its owner every iteration, so the duplicate of iteration 0 is
+// silently taken as iteration 1's weights: stale by one Adam step. The run
+// must complete and the differ MUST report the divergence — if this test
 // fails, the chaos harness has gone vacuously green.
-TEST(Chaos, BrokenGradientDedupIsCaughtByTheDiffer) {
+TEST(Chaos, BrokenDedupIsCaughtByTheDiffer) {
   chaos::ChaosConfig cc;
   cc.strategy = "weipipe";
   cc.train = tiny_config();
   cc.world_size = kWorld;
   cc.iterations = kIters;
-  cc.plan = comm::parse_fault_plan("nodedup,dup:p=1:tag=3:ns=0", 99);
+  cc.plan = comm::parse_fault_plan("nodedup,dup:p=1:tag=10:ns=0", 99);
+  // A wedged run fails fast instead of waiting out the 60 s default.
+  cc.recv_timeout = std::chrono::milliseconds(2000);
   const chaos::ChaosReport r = chaos::run_chaos(cc);
-  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.completed) << r.error;
+  EXPECT_FALSE(r.bitwise_equal);
+  EXPECT_EQ(chaos::verdict(r), chaos::Verdict::kDiverged);
   EXPECT_GT(r.fault_stats.duplicates, 0u);
 }
 

@@ -2,9 +2,11 @@
 // attention identity (the Flash-Attention substitution must be exact math).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "gradcheck.hpp"
 #include "nn/layer_math.hpp"
 #include "tensor/tensor.hpp"
@@ -198,19 +200,23 @@ TEST(Attention, CausalityRespected) {
   }
 }
 
-TEST(Attention, GradCheckSmall) {
-  const std::int64_t G = 1, S = 3, nh = 1, dh = 4, H = nh * dh;
-  Rng rng(9);
+// Streaming attention backward against central differences of the streaming
+// forward, for every input.
+void expect_stream_gradients_match(std::int64_t S, std::int64_t nh,
+                                   std::int64_t nkv, std::int64_t dh,
+                                   std::uint64_t seed) {
+  const std::int64_t G = 1, H = nh * dh, Hkv = nkv * dh;
+  Rng rng(seed);
   Tensor q = Tensor::randn({S, H}, rng);
-  Tensor k = Tensor::randn({S, H}, rng);
-  Tensor v = Tensor::randn({S, H}, rng);
+  Tensor k = Tensor::randn({S, Hkv}, rng);
+  Tensor v = Tensor::randn({S, Hkv}, rng);
   const Tensor dout = Tensor::randn({S, H}, rng);
 
   auto loss = [&](const float* qp, const float* kp, const float* vp) {
     Tensor out({S, H});
     Tensor lse({G, nh, S});
     attention_forward_stream(qp, kp, vp, out.data(), lse.data(), G, S, nh,
-                             dh);
+                             nkv, dh);
     double acc = 0.0;
     for (std::int64_t i = 0; i < S * H; ++i) {
       acc += static_cast<double>(out.data()[i]) * dout.data()[i];
@@ -221,25 +227,35 @@ TEST(Attention, GradCheckSmall) {
   Tensor out({S, H});
   Tensor lse({G, nh, S});
   attention_forward_stream(q.data(), k.data(), v.data(), out.data(),
-                           lse.data(), G, S, nh, dh);
-  Tensor dq({S, H}), dk({S, H}), dv({S, H});
+                           lse.data(), G, S, nh, nkv, dh);
+  Tensor dq({S, H}), dk({S, Hkv}), dv({S, Hkv});
   attention_backward_stream(q.data(), k.data(), v.data(), out.data(),
                             lse.data(), dout.data(), dq.data(), dk.data(),
-                            dv.data(), G, S, nh, dh);
-
-  const auto num_dq = numeric_gradient(
-      [&](std::span<const float> x) { return loss(x.data(), k.data(), v.data()); },
-      q.span());
-  EXPECT_LT(gradient_max_rel_error(dq.span(), num_dq), 3e-3);
-  const auto num_dk = numeric_gradient(
-      [&](std::span<const float> x) { return loss(q.data(), x.data(), v.data()); },
-      k.span());
-  EXPECT_LT(gradient_max_rel_error(dk.span(), num_dk), 3e-3);
-  const auto num_dv = numeric_gradient(
-      [&](std::span<const float> x) { return loss(q.data(), k.data(), x.data()); },
-      v.span());
-  EXPECT_LT(gradient_max_rel_error(dv.span(), num_dv), 3e-3);
+                            dv.data(), G, S, nh, nkv, dh);
+  EXPECT_LT(gradient_max_rel_error(
+                dk.span(), numeric_gradient(
+                               [&](std::span<const float> x) {
+                                 return loss(q.data(), x.data(), v.data());
+                               },
+                               k.span())),
+            3e-3);
+  EXPECT_LT(gradient_max_rel_error(
+                dv.span(), numeric_gradient(
+                               [&](std::span<const float> x) {
+                                 return loss(q.data(), k.data(), x.data());
+                               },
+                               v.span())),
+            3e-3);
+  EXPECT_LT(gradient_max_rel_error(
+                dq.span(), numeric_gradient(
+                               [&](std::span<const float> x) {
+                                 return loss(x.data(), k.data(), v.data());
+                               },
+                               q.span())),
+            3e-3);
 }
+
+TEST(Attention, GradCheckSmall) { expect_stream_gradients_match(3, 1, 1, 4, 9); }
 
 // ---- Grouped-query attention -----------------------------------------------------
 
@@ -288,56 +304,70 @@ INSTANTIATE_TEST_SUITE_P(
                       GqaDims{1, 8, 8, 2, 2}, GqaDims{2, 5, 6, 3, 4},
                       GqaDims{1, 7, 4, 4, 4}));  // nkv==nh degenerates to MHA
 
-TEST(Gqa, GradCheckSmall) {
-  const std::int64_t G = 1, S = 3, nh = 2, nkv = 1, dh = 4;
-  const std::int64_t H = nh * dh, Hkv = nkv * dh;
-  Rng rng(22);
-  Tensor q = Tensor::randn({S, H}, rng);
-  Tensor k = Tensor::randn({S, Hkv}, rng);
-  Tensor v = Tensor::randn({S, Hkv}, rng);
-  const Tensor dout = Tensor::randn({S, H}, rng);
+// Several 64-row/64-column tiles with ragged tails, two sequences: MHA,
+// nkv == 1, and 1 < nkv < nh.
+INSTANTIATE_TEST_SUITE_P(
+    MultiTile, GqaParity,
+    ::testing::Values(GqaDims{2, 65, 2, 2, 8}, GqaDims{2, 130, 4, 4, 4},
+                      GqaDims{2, 200, 2, 2, 16}, GqaDims{2, 65, 4, 1, 4},
+                      GqaDims{2, 130, 4, 1, 8}, GqaDims{2, 200, 4, 2, 8},
+                      GqaDims{2, 130, 6, 3, 4}));
 
-  auto loss = [&](const float* qp, const float* kp, const float* vp) {
-    Tensor out({S, H});
-    Tensor lse({G, nh, S});
-    attention_forward_stream(qp, kp, vp, out.data(), lse.data(), G, S, nh,
-                             nkv, dh);
-    double acc = 0.0;
-    for (std::int64_t i = 0; i < S * H; ++i) {
-      acc += static_cast<double>(out.data()[i]) * dout.data()[i];
-    }
-    return acc;
-  };
+TEST(Gqa, GradCheckSmall) { expect_stream_gradients_match(3, 2, 1, 4, 22); }
 
-  Tensor out({S, H});
+TEST(Gqa, GradCheckMultiTile) {
+  // S > 64: the gradient crosses query/key tile boundaries and the ragged
+  // last tile.
+  expect_stream_gradients_match(70, 2, 1, 4, 23);
+}
+
+TEST_P(GqaParity, BackwardIsBitwiseEqualWhenNestedInAPoolTask) {
+  // Inside a pool task the kernel's own dispatch runs serially; at top
+  // level it spreads over the pool. Every output has one writer and a
+  // fixed summation order, so both must give the same bits.
+  const auto [G, S, nh, nkv, dh] = GetParam();
+  const std::int64_t H = nh * dh;
+  const std::int64_t Hkv = nkv * dh;
+  Rng rng(24);
+  const Tensor q = Tensor::randn({G * S, H}, rng);
+  const Tensor k = Tensor::randn({G * S, Hkv}, rng);
+  const Tensor v = Tensor::randn({G * S, Hkv}, rng);
+  const Tensor dout = Tensor::randn({G * S, H}, rng);
+  Tensor out({G * S, H});
   Tensor lse({G, nh, S});
   attention_forward_stream(q.data(), k.data(), v.data(), out.data(),
                            lse.data(), G, S, nh, nkv, dh);
-  Tensor dq({S, H}), dk({S, Hkv}), dv({S, Hkv});
-  attention_backward_stream(q.data(), k.data(), v.data(), out.data(),
-                            lse.data(), dout.data(), dq.data(), dk.data(),
-                            dv.data(), G, S, nh, nkv, dh);
-  EXPECT_LT(gradient_max_rel_error(
-                dk.span(), numeric_gradient(
-                               [&](std::span<const float> x) {
-                                 return loss(q.data(), x.data(), v.data());
-                               },
-                               k.span())),
-            3e-3);
-  EXPECT_LT(gradient_max_rel_error(
-                dv.span(), numeric_gradient(
-                               [&](std::span<const float> x) {
-                                 return loss(q.data(), k.data(), x.data());
-                               },
-                               v.span())),
-            3e-3);
-  EXPECT_LT(gradient_max_rel_error(
-                dq.span(), numeric_gradient(
-                               [&](std::span<const float> x) {
-                                 return loss(x.data(), k.data(), v.data());
-                               },
-                               q.span())),
-            3e-3);
+
+  struct Grads {
+    Tensor dq, dk, dv;
+  };
+  auto backward = [&]() {
+    Grads r{Tensor({G * S, H}), Tensor({G * S, Hkv}), Tensor({G * S, Hkv})};
+    attention_backward_stream(q.data(), k.data(), v.data(), out.data(),
+                              lse.data(), dout.data(), r.dq.data(),
+                              r.dk.data(), r.dv.data(), G, S, nh, nkv, dh);
+    return r;
+  };
+  const Grads top = backward();
+  constexpr std::size_t kRuns = 8;
+  std::vector<Grads> nested(kRuns);
+  parallel_for_range(0, kRuns, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      nested[i] = backward();
+    }
+  });
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(std::memcmp(nested[i].dq.data(), top.dq.data(),
+                          top.dq.span().size_bytes()),
+              0);
+    EXPECT_EQ(std::memcmp(nested[i].dk.data(), top.dk.data(),
+                          top.dk.span().size_bytes()),
+              0);
+    EXPECT_EQ(std::memcmp(nested[i].dv.data(), top.dv.data(),
+                          top.dv.span().size_bytes()),
+              0);
+  }
 }
 
 // ---- SwiGLU --------------------------------------------------------------------

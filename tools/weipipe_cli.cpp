@@ -568,6 +568,10 @@ prof::ProfileOptions profile_options_from_flags(
       static_cast<std::size_t>(flags.i64("ring-capacity", 1 << 16));
   opt.train = config_from_flags(flags);
   opt.fault_spec = flags.str("faults", "");
+  if (flags.flag("link-mbps")) {
+    opt.link_model = comm::uniform_link(flags.f64("link-mbps", 0.0) * 1e6,
+                                        /*latency_sec=*/0.0);
+  }
   return opt;
 }
 
@@ -757,6 +761,17 @@ int cmd_bench(const Flags& flags) {
 // result is checked bitwise across transports AND across process
 // boundaries.
 
+// The one verdict line of `weipipe_cli chaos`: the worst cell's verdict,
+// which is also the exit code (0 equal, 1 diverged, 2 timed out, 3 crashed).
+int print_chaos_verdict(chaos::Verdict worst) {
+  if (worst == chaos::Verdict::kEqual) {
+    std::printf("CHAOS OK: every strategy bitwise equal\n");
+  } else {
+    std::printf("CHAOS FAIL: %s\n", chaos::to_string(worst));
+  }
+  return static_cast<int>(worst);
+}
+
 std::string rank_blob_path(const std::string& dir, const std::string& strategy,
                            int rank) {
   return dir + "/" + strategy + ".rank" + std::to_string(rank) + ".state";
@@ -786,21 +801,20 @@ std::string rank_blob_path(const std::string& dir, const std::string& strategy,
     trace::write_file(rank_blob_path(dir, cc.strategy, rank),
                       std::string(r.chaos_rank_state.begin(),
                                   r.chaos_rank_state.end()));
-    if (!r.completed) {
-      std::fprintf(stderr, "[%s rank %d] failed: %s\n", cc.strategy.c_str(),
-                   rank, r.error.c_str());
-      code = 3;
-    } else if (!r.bitwise_equal) {
-      std::fprintf(stderr, "[%s rank %d] chaos run diverged from clean\n",
-                   cc.strategy.c_str(), rank);
-      code = 2;
+    // The exit code is this rank's chaos::Verdict.
+    const chaos::Verdict v = chaos::verdict(r);
+    code = static_cast<int>(v);
+    if (v != chaos::Verdict::kEqual) {
+      std::fprintf(stderr, "[%s rank %d] %s%s%s\n", cc.strategy.c_str(), rank,
+                   chaos::to_string(v), r.error.empty() ? "" : ": ",
+                   r.error.c_str());
     }
   } catch (const Error& e) {
     std::fprintf(stderr, "[%s rank %d] error: %s\n", cc.strategy.c_str(),
                  rank, e.what());
     obs::blackbox_dump_once(std::string("forked chaos rank failed: ") +
                             e.what());
-    code = 4;
+    code = static_cast<int>(chaos::Verdict::kCrashed);
   }
   std::fflush(nullptr);
   // _exit: no destructors/atexit — the parent's inherited state (telemetry,
@@ -811,6 +825,7 @@ std::string rank_blob_path(const std::string& dir, const std::string& strategy,
 struct ForkedStrategyResult {
   bool children_ok = true;       // every rank exited 0
   bool matches_inproc = true;    // every blob == the inproc reference
+  chaos::Verdict verdict = chaos::Verdict::kEqual;  // worst over the ranks
   std::string detail;            // first failure, for the table row
 };
 
@@ -883,6 +898,15 @@ ForkedStrategyResult run_forked_strategy(const Flags& flags,
 
   for (int r = 0; r < world; ++r) {
     const int code = codes[static_cast<std::size_t>(r)];
+    // A child exits with its verdict; a signal is a crash, unless it is the
+    // SIGKILL of the deadline above.
+    const chaos::Verdict v =
+        code >= 128 ? (killed ? chaos::Verdict::kTimedOut
+                              : chaos::Verdict::kCrashed)
+        : code >= 0 && code <= static_cast<int>(chaos::Verdict::kCrashed)
+            ? static_cast<chaos::Verdict>(code)
+            : chaos::Verdict::kCrashed;
+    out.verdict = std::max(out.verdict, v);
     if (code != 0) {
       out.children_ok = false;
       if (out.detail.empty()) {
@@ -906,6 +930,7 @@ ForkedStrategyResult run_forked_strategy(const Flags& flags,
          std::memcmp(blob.data(), want.data(), want.size()) == 0);
     if (!same) {
       out.matches_inproc = false;
+      out.verdict = std::max(out.verdict, chaos::Verdict::kDiverged);
       if (out.detail.empty()) {
         out.detail = "rank " + std::to_string(r) +
                      " state blob differs from the inproc reference";
@@ -959,13 +984,13 @@ int cmd_chaos_forked(const Flags& flags, comm::TransportSpec spec) {
               static_cast<unsigned long long>(fault_seed));
   std::printf("%-18s %6s %10s  %s\n", "strategy", "ranks", "vs-inproc",
               "detail");
-  bool all_ok = true;
+  chaos::Verdict worst = chaos::Verdict::kEqual;
   for (const std::string& name : strategies) {
     cc.strategy = name;
     const ForkedStrategyResult r =
         run_forked_strategy(flags, cc, spec, dir);
     const bool ok = r.children_ok && r.matches_inproc;
-    all_ok = all_ok && ok;
+    worst = std::max(worst, r.verdict);
     std::printf("%-18s %6s %10s  %s\n", name.c_str(),
                 r.children_ok ? "OK" : "FAIL",
                 r.matches_inproc ? "equal" : "DIFF", r.detail.c_str());
@@ -974,11 +999,7 @@ int cmd_chaos_forked(const Flags& flags, comm::TransportSpec spec) {
                           r.detail);
     }
   }
-  if (!all_ok) {
-    std::printf(
-        "CHAOS FAIL: at least one strategy diverged across processes\n");
-  }
-  return all_ok ? 0 : 1;
+  return print_chaos_verdict(worst);
 }
 
 int cmd_chaos(const Flags& flags) {
@@ -1016,13 +1037,13 @@ int cmd_chaos(const Flags& flags) {
   std::printf("%-18s %4s %8s %7s %7s %7s %7s %6s %s\n", "strategy", "ok",
               "bitwise", "delays", "drops", "dups", "reord", "recov",
               "max|diff|");
-  bool all_ok = true;
+  chaos::Verdict worst = chaos::Verdict::kEqual;
   std::string log = "[\n";
   obs::Registry metrics;
   for (std::size_t i = 0; i < strategies.size(); ++i) {
     cc.strategy = strategies[i];
     const chaos::ChaosReport r = chaos::run_chaos(cc);
-    all_ok = all_ok && r.ok();
+    worst = std::max(worst, chaos::verdict(r));
     std::printf("%-18s %4s %8s %7llu %7llu %7llu %7llu %6d %g\n",
                 r.strategy.c_str(), r.ok() ? "OK" : "FAIL",
                 r.bitwise_equal ? "equal" : "DIFF",
@@ -1056,10 +1077,7 @@ int cmd_chaos(const Flags& flags) {
   }
   write_metrics_snapshot(flags, metrics.to_json(), "chaos_metrics.json");
   telemetry.finish();
-  if (!all_ok) {
-    std::printf("CHAOS FAIL: at least one strategy diverged under faults\n");
-  }
-  return all_ok ? 0 : 1;
+  return print_chaos_verdict(worst);
 }
 
 // `weipipe_cli health` — run training under the full live health plane:
@@ -1265,6 +1283,8 @@ COMMANDS
                        faults appear as kFault trace spans + fault.* metrics
     --postmortem DIR   arm a black box: a fatal error dumps the span ring +
                        health snapshot as DIR/postmortem{,_trace}.json
+    --link-mbps f      emulate a uniform link of f MB/s that delays every
+                       message (trainer-backed only; default: no emulation)
   anatomy    critical-path step anatomy: profile a strategy (flags as
              profile; default strategy weipipe) and attribute every
              nanosecond of the cross-rank critical path to compute,
@@ -1286,8 +1306,10 @@ COMMANDS
     --metrics PATH     also write per-case bench.* gauges as a metrics
                        snapshot JSON
   chaos      run a strategy clean and under a seeded fault plan and diff
-             the final weights bitwise (docs/FAULTS.md); exits nonzero if
-             any strategy diverges or fails to complete
+             the final weights bitwise (docs/FAULTS.md). Ends with one
+             verdict line, "CHAOS FAIL: diverged|timed out|crashed" (the
+             worst strategy) or "CHAOS OK"; exit code 0 ok, 1 diverged,
+             2 timed out, 3 crashed
     --strategy S|all   trainer strategy, or the whole matrix (default all)
     --faults SPEC      fault-plan spec, e.g. "drop:p=0.05,dup:p=0.1:tag=3"
                        kinds: delay|drop|dup|reorder|stall|nodedup|retries
